@@ -1,9 +1,9 @@
 package robustmap
 
 // TestMapBaselines guards the maps themselves — the product the paper's
-// robustness methodology exists to produce. Two representative sweeps
-// (the built-in paper plans on a 2-D grid, and the example optimizer
-// query with its regret overlay) are run in process and compared
+// robustness methodology exists to produce. Representative sweeps (the
+// built-in paper plans on 2-D grids, and the example optimizer and join
+// queries with their regret overlays) are run in process and compared
 // byte-for-byte against the committed baselines in testdata/maps/. Any
 // drift — a moved winner boundary, a shifted landmark, a changed regret
 // cell — fails with the structural delta named, until the baselines are
@@ -58,6 +58,13 @@ func mapBaselineScenarios(t *testing.T) []struct {
 	}{
 		{"builtin_2d", service.Request{
 			Plans: []string{"A1", "A2", "B1"}, Rows: 65536, MaxExp: 6, Grid2D: true,
+		}},
+		// All 13 two-predicate study plans across systems A, B and C, on a
+		// grid small enough to stay fast: the only committed map pinning
+		// MDAM (System C) and System B's two-column-index plans.
+		{"builtin_2d_all", service.Request{
+			Plans: []string{"A1", "A2", "A3", "A4", "A5", "A6", "A7", "B1", "B2", "B3", "B4", "C1", "C2"},
+			Rows:  16384, MaxExp: 5, Grid2D: true,
 		}},
 		{"skewed_query", service.Request{Query: q, Rows: 65536, MaxExp: 6}},
 		{"join_query", service.Request{Query: jq}},
