@@ -13,6 +13,7 @@ import (
 
 	"robustmap/internal/catalog"
 	"robustmap/internal/core"
+	"robustmap/internal/datagen"
 	"robustmap/internal/engine"
 	"robustmap/internal/exec"
 	"robustmap/internal/experiments"
@@ -567,11 +568,12 @@ func BenchmarkAblationSkew(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := engine.DefaultConfig()
 			cfg.Rows = 1 << 15
-			sys, err := engine.BuildSystem("skew", engine.Config{
-				Rows: cfg.Rows, Seed: cfg.Seed, PoolPages: cfg.PoolPages,
-				MemoryBudget: cfg.MemoryBudget, IO: cfg.IO,
-				Indexes: []string{"a", "b"}, ZipfA: zipf,
-			})
+			cfg.Tables = datagen.Catalog{{Name: plan.TableName, Rows: cfg.Rows, Seed: cfg.Seed, ZipfA: zipf}}
+			cfg.Indexes = nil
+			cfg.IndexDefs = []engine.IndexDef{
+				{Name: plan.IdxA, Columns: []string{"a"}}, {Name: plan.IdxB, Columns: []string{"b"}},
+			}
+			sys, err := engine.BuildSystem("skew", cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -31,21 +31,21 @@ func main() {
 	)
 	flag.Parse()
 
-	spec := datagen.Spec{Rows: *rows, Seed: *seed, PayloadBytes: *payload,
-		ZipfA: *zipfA, ZipfB: *zipfB}
-	if err := spec.Validate(); err != nil {
+	gen := datagen.Catalog{{Name: "lineitem", Rows: *rows, Seed: *seed, PayloadBytes: *payload,
+		ZipfA: *zipfA, ZipfB: *zipfB}}
+	if err := gen.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(2)
 	}
 
 	if *stats {
-		printStats(spec)
+		printStats(gen)
 		return
 	}
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	sch := datagen.Schema()
+	sch := gen.Schema(0)
 	for i := 0; i < sch.NumColumns(); i++ {
 		if i > 0 {
 			fmt.Fprint(w, ",")
@@ -54,7 +54,7 @@ func main() {
 	}
 	fmt.Fprintln(w)
 	var emitted int64
-	err := datagen.Generate(spec, func(row []record.Value) error {
+	err := gen.Generate(0, func(row []record.Value) error {
 		if *limit > 0 && emitted >= *limit {
 			return errLimit
 		}
@@ -76,12 +76,12 @@ func main() {
 
 var errLimit = fmt.Errorf("limit reached")
 
-func printStats(spec datagen.Spec) {
+func printStats(gen datagen.Catalog) {
 	var n int64
 	distinctA := map[int64]int64{}
 	distinctB := map[int64]int64{}
 	var maxA, maxB int64
-	datagen.Generate(spec, func(row []record.Value) error {
+	gen.Generate(0, func(row []record.Value) error {
 		a, b := row[1].AsInt(), row[2].AsInt()
 		distinctA[a]++
 		distinctB[b]++

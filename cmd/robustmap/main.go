@@ -451,7 +451,7 @@ func runExplain(path string, rows int64, selA, selB float64, fatalf func(string,
 		tb = int64(selB * float64(rows))
 	}
 
-	model := optimizer.NewModel(q, rows)
+	model := optimizer.NewModel(q, rows, engine.DefaultConfig().Seed)
 	ests := model.Explain(cands, ta, tb)
 	fmt.Printf("query %s over %d rows: a <= %d (%.4g of rows)", q.Name, rows, ta, selA)
 	if tb >= 0 {

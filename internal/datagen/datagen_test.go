@@ -8,28 +8,36 @@ import (
 )
 
 func TestValidate(t *testing.T) {
-	if err := (Spec{Rows: 10}).Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	if err := (Catalog{{Rows: 10}}).Validate(); err != nil {
+		t.Errorf("valid catalog rejected: %v", err)
 	}
-	bad := []Spec{
-		{Rows: 0},
-		{Rows: -5},
-		{Rows: 10, PayloadBytes: -1},
-		{Rows: 10, ZipfA: 0.5},
-		{Rows: 10, ZipfB: 1.0},
+	fk := []ForeignKey{{Column: "fk", RefTable: "p"}}
+	bad := []Catalog{
+		{},
+		{{Rows: 0}},
+		{{Rows: -5}},
+		{{Rows: 10, PayloadBytes: -1}},
+		{{Rows: 10, ZipfA: 0.5}},
+		{{Rows: 10, ZipfB: 1.0}},
+		{{Name: "p", Rows: 10, ForeignKeys: fk}},
+		{{Name: "p", Rows: 10}, {Name: "p", Rows: 10}},
+		{{Name: "p", Rows: 10}, {Rows: 10}},
+		{{Name: "p", Rows: 10}, {Name: "c", Rows: 10, ForeignKeys: []ForeignKey{{Column: "fk", RefTable: "nope"}}}},
+		{{Name: "p", Rows: 10}, {Name: "c", Rows: 10, ForeignKeys: []ForeignKey{{Column: "fk", RefTable: "p", Containment: 2}}}},
+		{{Name: "p", Rows: 10}, {Name: "c", Rows: 10, ForeignKeys: []ForeignKey{{Column: "fk", RefTable: "p", FanoutZipf: 0.5}}}},
 	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("bad spec %d accepted", i)
+	for i, c := range bad {
+		if err := c.Validate(); err == nil {
+			t.Errorf("bad catalog %d accepted", i)
 		}
 	}
 }
 
 func TestGenerateRowCountAndSchema(t *testing.T) {
-	spec := Spec{Rows: 1000, Seed: 1}
-	sch := Schema()
+	spec := Table{Rows: 1000, Seed: 1}
+	sch := Catalog{spec}.Schema(0)
 	var n int64
-	err := Generate(spec, func(row []record.Value) error {
+	err := Catalog{spec}.Generate(0, func(row []record.Value) error {
 		if err := sch.Validate(row); err != nil {
 			t.Fatalf("row %d invalid: %v", n, err)
 		}
@@ -48,10 +56,10 @@ func TestGenerateRowCountAndSchema(t *testing.T) {
 }
 
 func TestPredicateColumnsAreExactPermutations(t *testing.T) {
-	spec := Spec{Rows: 4096, Seed: 7}
+	spec := Table{Rows: 4096, Seed: 7}
 	seenA := make([]bool, spec.Rows)
 	seenB := make([]bool, spec.Rows)
-	Generate(spec, func(row []record.Value) error {
+	Catalog{spec}.Generate(0, func(row []record.Value) error {
 		a, b := row[1].AsInt(), row[2].AsInt()
 		if a < 0 || a >= spec.Rows || seenA[a] {
 			t.Fatalf("column a value %d invalid or repeated", a)
@@ -65,11 +73,11 @@ func TestPredicateColumnsAreExactPermutations(t *testing.T) {
 }
 
 func TestExactSelectivity(t *testing.T) {
-	spec := Spec{Rows: 1 << 12, Seed: 3}
+	spec := Table{Rows: 1 << 12, Seed: 3}
 	for _, frac := range PowerOfTwoFractions(8) {
 		thr, want := SelectivityThreshold(spec.Rows, frac)
 		var got int64
-		Generate(spec, func(row []record.Value) error {
+		Catalog{spec}.Generate(0, func(row []record.Value) error {
 			if row[1].AsInt() < thr {
 				got++
 			}
@@ -83,10 +91,10 @@ func TestExactSelectivity(t *testing.T) {
 
 func TestColumnsIndependent(t *testing.T) {
 	// Correlation between a and b over the generated rows should be ~0.
-	spec := Spec{Rows: 1 << 13, Seed: 11}
+	spec := Table{Rows: 1 << 13, Seed: 11}
 	var sa, sb, sab, saa, sbb float64
 	n := float64(spec.Rows)
-	Generate(spec, func(row []record.Value) error {
+	Catalog{spec}.Generate(0, func(row []record.Value) error {
 		a, b := float64(row[1].AsInt()), float64(row[2].AsInt())
 		sa += a
 		sb += b
@@ -105,10 +113,10 @@ func TestColumnsIndependent(t *testing.T) {
 func TestPhysicalOrderUncorrelatedWithA(t *testing.T) {
 	// Insertion order vs column a: near-zero correlation, so RIDs in key
 	// order are physically scattered (the Figure 1 fetch penalty).
-	spec := Spec{Rows: 1 << 13, Seed: 5}
+	spec := Table{Rows: 1 << 13, Seed: 5}
 	var si, sa, sia, sii, saa float64
 	n := float64(spec.Rows)
-	Generate(spec, func(row []record.Value) error {
+	Catalog{spec}.Generate(0, func(row []record.Value) error {
 		i, a := float64(row[0].AsInt()), float64(row[1].AsInt())
 		si += i
 		sa += a
@@ -125,10 +133,10 @@ func TestPhysicalOrderUncorrelatedWithA(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	spec := Spec{Rows: 500, Seed: 42}
+	spec := Table{Rows: 500, Seed: 42}
 	capture := func() []int64 {
 		var out []int64
-		Generate(spec, func(row []record.Value) error {
+		Catalog{spec}.Generate(0, func(row []record.Value) error {
 			out = append(out, row[1].AsInt(), row[2].AsInt())
 			return nil
 		})
@@ -156,9 +164,9 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestZipfSkew(t *testing.T) {
-	spec := Spec{Rows: 1 << 12, Seed: 9, ZipfA: 1.5}
+	spec := Table{Rows: 1 << 12, Seed: 9, ZipfA: 1.5}
 	counts := map[int64]int64{}
-	Generate(spec, func(row []record.Value) error {
+	Catalog{spec}.Generate(0, func(row []record.Value) error {
 		counts[row[1].AsInt()]++
 		return nil
 	})
@@ -197,9 +205,9 @@ func TestPowerOfTwoFractions(t *testing.T) {
 }
 
 func TestGenerateStopsOnError(t *testing.T) {
-	spec := Spec{Rows: 1000, Seed: 1}
+	spec := Table{Rows: 1000, Seed: 1}
 	n := 0
-	sentinel := Generate(spec, func(row []record.Value) error {
+	sentinel := Catalog{spec}.Generate(0, func(row []record.Value) error {
 		n++
 		if n == 10 {
 			return errStop

@@ -26,28 +26,23 @@ func TestGeneratedBytesPinned(t *testing.T) {
 		}
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	lineitem := func(s Spec) string {
-		return digest(Schema(), func(fn func(row []record.Value) error) error { return Generate(s, fn) })
+	table := func(c Catalog, i int) string {
+		return digest(c.Schema(i), func(fn func(row []record.Value) error) error { return c.Generate(i, fn) })
 	}
-	table := func(s Spec, name string, fks []FKSpec) string {
-		cols := make([]string, len(fks))
-		for i, fk := range fks {
-			cols[i] = fk.Column
-		}
-		return digest(JoinSchema(name, cols), func(fn func(row []record.Value) error) error {
-			return GenerateTable(s, fks, fn)
-		})
+	fk := Catalog{
+		{Name: "customer", Rows: 512, Seed: 3, ZipfB: 1.3},
+		{Name: "orders", Rows: 4096, Seed: 4, ForeignKeys: []ForeignKey{
+			{Column: "ord_cust", RefTable: "customer", Containment: 0.8, FanoutZipf: 1.4},
+			{Column: "ord_clerk", RefTable: "customer"},
+		}},
 	}
 	cases := []struct {
 		name, got, want string
 	}{
-		{"lineitem", lineitem(Spec{Rows: 4096, Seed: 2009}), "876e80c9f198502d8a06d9f58ab3d5364b8d1f52e4cc3118fdacc05bc6477aa7"},
-		{"lineitem-zipf", lineitem(Spec{Rows: 4096, Seed: 7, PayloadBytes: 16, ZipfA: 1.5, ZipfB: 2}), "817e226acee8173626060905f3c4adf3dd34adfdfcc6c3b9abe46c36ed784c53"},
-		{"fk-parent", table(Spec{Rows: 512, Seed: 3, ZipfB: 1.3}, "customer", nil), "3611bca58c8ae40e3132e40bcfd51dea6720ff504cd18dba30661d9eb643bb85"},
-		{"fk-child", table(Spec{Rows: 4096, Seed: 4}, "orders", []FKSpec{
-			{Column: "ord_cust", ParentRows: 512, Containment: 0.8, FanoutZipf: 1.4},
-			{Column: "ord_clerk", ParentRows: 512},
-		}), "e67c4505c4c9c025d275dfbd0afdecffb1d13a326d5b6d48539e7037c3c3fdf2"},
+		{"lineitem", table(Catalog{{Name: "lineitem", Rows: 4096, Seed: 2009}}, 0), "876e80c9f198502d8a06d9f58ab3d5364b8d1f52e4cc3118fdacc05bc6477aa7"},
+		{"lineitem-zipf", table(Catalog{{Rows: 4096, Seed: 7, PayloadBytes: 16, ZipfA: 1.5, ZipfB: 2}}, 0), "817e226acee8173626060905f3c4adf3dd34adfdfcc6c3b9abe46c36ed784c53"},
+		{"fk-parent", table(fk, 0), "3611bca58c8ae40e3132e40bcfd51dea6720ff504cd18dba30661d9eb643bb85"},
+		{"fk-child", table(fk, 1), "e67c4505c4c9c025d275dfbd0afdecffb1d13a326d5b6d48539e7037c3c3fdf2"},
 	}
 	for _, c := range cases {
 		if c.got != c.want {

@@ -13,6 +13,10 @@
 //     indexes (a,b) and (b,a) evaluate both predicates on entries first.
 //   - System C: two-column covering indexes driven by MDAM.
 //
+// Every system is built over a catalog of generated tables (see
+// datagen.Catalog); the paper's study is the one-table catalog holding
+// the lineitem relation, for which Config's Rows and Seed are shorthand.
+//
 // Every Run gets a fresh virtual clock, device, and cold buffer pool, so
 // measurements are deterministic and independent — the conditions the
 // paper needs for reproducible robustness maps.
@@ -42,14 +46,15 @@ import (
 // replayed into maps the current engine would not reproduce.
 const MeasurementVersion = "sim-v1"
 
-// Config parameterizes a system build.
+// Config parameterizes a system build. Every system is built over a
+// catalog of generated tables; the paper's study uses a one-table
+// catalog holding the lineitem relation.
 type Config struct {
-	// Rows is the lineitem-like table cardinality.
+	// Rows and Seed are shorthand for the one-table catalog of the
+	// paper's study: a single plan.TableName table of that cardinality
+	// and generation seed. Ignored when Tables is set.
 	Rows int64
-	// Seed drives data generation.
 	Seed int64
-	// PayloadBytes pads rows; zero uses the datagen default.
-	PayloadBytes int
 	// PoolPages is the buffer pool capacity for each query run. It should
 	// be well below the table's page count for realistic fetch costs.
 	PoolPages int
@@ -59,68 +64,44 @@ type Config struct {
 	IO iomodel.Params
 	// Versioned adds MVCC headers to base rows (System B).
 	Versioned bool
-	// Indexes lists which secondary indexes to build: any of "a", "b",
-	// "ab", "ba" — shorthand for the conventional IndexDefs of the
-	// paper's study. Ignored when IndexDefs is set.
+	// Indexes lists which secondary indexes to build on the shorthand
+	// lineitem table: any of "a", "b", "ab", "ba" — the conventional
+	// IndexDefs of the paper's study. Ignored when IndexDefs is set;
+	// rejected together with Tables.
 	Indexes []string
 	// IndexDefs generalizes Indexes: arbitrary named secondary indexes
 	// over schema columns, in key order. Workload-spec systems build
 	// through this.
 	IndexDefs []IndexDef
-	// TableName overrides the base table's name; empty means the
-	// conventional plan.TableName ("lineitem").
-	TableName string
-	// ZipfA and ZipfB skew the predicate columns (see datagen.Spec); zero
-	// keeps the exact-selectivity permutations. Used by the skew ablation.
-	ZipfA, ZipfB float64
-	// Tables switches the build to a multi-table catalog: each entry is
-	// one generated table with the derived join schema (see
-	// datagen.JoinSchema). When set, Rows, Seed, PayloadBytes, ZipfA,
-	// ZipfB, TableName, and the Indexes shorthand are ignored; indexes
-	// come from IndexDefs, each bound to its table.
-	Tables []TableConfig
-}
-
-// TableConfig parameterizes one table of a multi-table build.
-type TableConfig struct {
-	Name         string
-	Rows         int64
-	Seed         int64
-	PayloadBytes int
-	ZipfA, ZipfB float64
-	ForeignKeys  []FKDef
-}
-
-// FKDef declares one foreign-key column of a multi-table build,
-// referencing RefTable's id column with the given correlation knobs
-// (see datagen.FKSpec).
-type FKDef struct {
-	Column      string
-	RefTable    string
-	Containment float64
-	FanoutZipf  float64
+	// Tables lists the generated tables (see datagen.Catalog for the
+	// schemas); empty means the Rows/Seed shorthand.
+	Tables datagen.Catalog
 }
 
 // IndexDef names one secondary index to build: its key columns, in
-// order. Table binds it to one table of a multi-table build; empty
-// means the build's first (or only) table.
+// order. Table binds it to one table of the catalog; empty means the
+// first (or only) table.
 type IndexDef struct {
 	Name    string
 	Table   string
 	Columns []string
 }
 
-// tableName resolves the configured base-table name.
-func (c Config) tableName() string {
-	if c.TableName != "" {
-		return c.TableName
+// tables resolves the configured catalog: Tables verbatim, or the
+// shorthand one-table lineitem catalog.
+func (c Config) tables() datagen.Catalog {
+	if len(c.Tables) > 0 {
+		return c.Tables
 	}
-	return plan.TableName
+	return datagen.Catalog{{Name: plan.TableName, Rows: c.Rows, Seed: c.Seed}}
 }
 
 // indexDefs resolves the configured index set: IndexDefs verbatim, or
 // the Indexes shorthand mapped onto the conventional definitions.
 func (c Config) indexDefs() ([]IndexDef, error) {
+	if len(c.Indexes) > 0 && len(c.Tables) > 0 {
+		return nil, fmt.Errorf("engine: the Indexes shorthand names the lineitem table of the Rows/Seed shorthand; use IndexDefs with Tables")
+	}
 	if len(c.IndexDefs) > 0 {
 		return c.IndexDefs, nil
 	}
@@ -176,27 +157,10 @@ type System struct {
 	cfg  Config
 
 	disk      *storage.Disk
-	schema    *record.Schema
-	tableName string
-	heapFile  storage.FileID
-	heapRows  int64
+	tables    []tableMeta // in catalog order; tables[0] is the axis table
 	versioned bool
 	indexes   map[string]indexMeta
 	snapHigh  mvcc.TxnID
-
-	// tables is set for multi-table builds (nil on the legacy
-	// single-table path); colData retains every generated int64 column
-	// (table -> column -> values in insertion order) for result-size
-	// oracles over join queries.
-	tables  []tableMeta
-	colData map[string]map[string][]int64
-
-	// abPairs holds the generated (a, b) column pairs in row order, so
-	// ResultSize can answer "how many rows satisfy this query point"
-	// without executing a plan. 16 bytes per row (~2 MiB at the default
-	// scale) buys adaptive sweeps an exact row-count oracle for grid
-	// cells they never measure.
-	abPairs [][2]int64
 
 	// sessions recycles measurement Sessions for RunShared. Recycling is
 	// invisible in the results: Session.Run restores the cold-start state.
@@ -205,18 +169,24 @@ type System struct {
 
 type indexMeta struct {
 	name     string
-	table    string // owning table of a multi-table build; "" = legacy single table
+	table    int // index into System.tables
 	columns  []string
 	covering bool
 	meta     btree.Meta
 }
 
-// tableMeta is one loaded table of a multi-table build.
+// tableMeta is one loaded table.
 type tableMeta struct {
 	name     string
 	schema   *record.Schema
 	heapFile storage.FileID
 	rows     int64
+	// colData retains every generated int64 column in insertion order,
+	// indexed by schema ordinal (nil for other types), so ResultSize and
+	// join-size oracles answer without executing a plan. At 8 bytes per
+	// row and column it buys adaptive sweeps an exact row-count oracle
+	// for grid cells they never measure.
+	colData [][]int64
 }
 
 // Result is one measured plan execution.
@@ -230,16 +200,21 @@ type Result struct {
 	Pool     storage.PoolStats
 }
 
-// BuildSystem loads the dataset and indexes for one system configuration.
-// Loading happens on a throwaway clock; only Run costs are measured.
+// BuildSystem loads the dataset and indexes for one system configuration:
+// one heap per table in catalog order (so file layout — and therefore
+// every measured time — is a pure function of the config), then every
+// index in definition order. Loading happens on a throwaway clock; only
+// Run costs are measured.
 func BuildSystem(name string, cfg Config) (*System, error) {
-	if len(cfg.Tables) > 0 {
-		return buildMulti(name, cfg)
-	}
-	if cfg.Rows <= 0 {
-		return nil, fmt.Errorf("engine: Rows = %d", cfg.Rows)
+	tables := cfg.tables()
+	if err := tables.Validate(); err != nil {
+		return nil, fmt.Errorf("engine: build %q: %w", name, err)
 	}
 	if err := cfg.IO.Validate(); err != nil {
+		return nil, err
+	}
+	defs, err := cfg.indexDefs()
+	if err != nil {
 		return nil, err
 	}
 	disk := storage.NewDisk()
@@ -249,18 +224,64 @@ func BuildSystem(name string, cfg Config) (*System, error) {
 	// pools are sized by cfg.PoolPages.
 	pool := storage.NewPool(disk, dev, loadClock, 4096)
 
-	defs, err := cfg.indexDefs()
-	if err != nil {
-		return nil, err
-	}
 	sys := &System{
-		Name:      name,
-		cfg:       cfg,
-		disk:      disk,
-		schema:    datagen.Schema(),
-		tableName: cfg.tableName(),
-		indexes:   make(map[string]indexMeta),
+		Name:    name,
+		cfg:     cfg,
+		disk:    disk,
+		indexes: make(map[string]indexMeta),
 	}
+	var txn mvcc.TxnID
+	if cfg.Versioned {
+		txn = mvcc.NewManager().Begin()
+		sys.versioned = true
+		sys.snapHigh = txn
+	}
+
+	loaded := make([]*catalog.Table, len(tables))
+	for i, tc := range tables {
+		schema := tables.Schema(i)
+		heap := storage.CreateHeap(pool)
+		tbl := &catalog.Table{Name: tc.Name, Schema: schema, Heap: heap}
+		var store *mvcc.Store
+		if cfg.Versioned {
+			store = mvcc.NewStore(heap)
+			tbl.Versioned = store
+		}
+		colData := make([][]int64, schema.NumColumns())
+		var ints []int
+		for o, col := range schema.Columns() {
+			if col.Type == record.TypeInt64 {
+				ints = append(ints, o)
+				colData[o] = make([]int64, 0, tc.Rows)
+			}
+		}
+		var encodeBuf []byte
+		err := tables.Generate(i, func(row []record.Value) error {
+			for _, o := range ints {
+				colData[o] = append(colData[o], row[o].AsInt())
+			}
+			var err error
+			encodeBuf, err = schema.Encode(encodeBuf[:0], row)
+			if err != nil {
+				return err
+			}
+			if store != nil {
+				store.Insert(txn, encodeBuf)
+			} else {
+				heap.Append(encodeBuf)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		sys.tables = append(sys.tables, tableMeta{
+			name: tc.Name, schema: schema, heapFile: heap.File(), rows: heap.NumRows(), colData: colData,
+		})
+		loaded[i] = tbl
+	}
+
+	loader := catalog.Loader(pool, loadClock)
 	for _, def := range defs {
 		if def.Name == "" {
 			return nil, fmt.Errorf("engine: index definition with no name")
@@ -268,63 +289,25 @@ func BuildSystem(name string, cfg Config) (*System, error) {
 		if len(def.Columns) == 0 {
 			return nil, fmt.Errorf("engine: index %q has no columns", def.Name)
 		}
-		for _, col := range def.Columns {
-			if sys.schema.Ordinal(col) < 0 {
-				return nil, fmt.Errorf("engine: index %q references unknown column %q", def.Name, col)
+		ti := 0
+		if def.Table != "" {
+			if ti = tables.Lookup(def.Table); ti < 0 {
+				return nil, fmt.Errorf("engine: index %q references unknown table %q", def.Name, def.Table)
 			}
 		}
-	}
-
-	heap := storage.CreateHeap(pool)
-	tbl := &catalog.Table{Name: sys.tableName, Schema: sys.schema, Heap: heap}
-
-	var store *mvcc.Store
-	var txn mvcc.TxnID
-	if cfg.Versioned {
-		store = mvcc.NewStore(heap)
-		mgr := mvcc.NewManager()
-		txn = mgr.Begin()
-		tbl.Versioned = store
-		sys.versioned = true
-		sys.snapHigh = txn
-	}
-
-	spec := datagen.Spec{Rows: cfg.Rows, Seed: cfg.Seed, PayloadBytes: cfg.PayloadBytes,
-		ZipfA: cfg.ZipfA, ZipfB: cfg.ZipfB}
-	ordA := sys.schema.MustOrdinal("a")
-	ordB := sys.schema.MustOrdinal("b")
-	sys.abPairs = make([][2]int64, 0, cfg.Rows)
-	var encodeBuf []byte
-	err = datagen.Generate(spec, func(row []record.Value) error {
-		sys.abPairs = append(sys.abPairs, [2]int64{row[ordA].AsInt(), row[ordB].AsInt()})
-		encodeBuf = encodeBuf[:0]
-		var err error
-		encodeBuf, err = sys.schema.Encode(encodeBuf, row)
-		if err != nil {
-			return err
+		tbl := loaded[ti]
+		for _, col := range def.Columns {
+			if tbl.Schema.Ordinal(col) < 0 {
+				return nil, fmt.Errorf("engine: index %q references unknown column %q of table %q", def.Name, col, tbl.Name)
+			}
 		}
-		if store != nil {
-			store.Insert(txn, encodeBuf)
-		} else {
-			heap.Append(encodeBuf)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sys.heapFile = heap.File()
-	sys.heapRows = heap.NumRows()
-
-	loader := catalog.Loader(pool, loadClock)
-	for _, def := range defs {
 		covering := !cfg.Versioned // MVCC on base rows only: never covering
 		ix, err := catalog.BuildIndex(def.Name, tbl, loader, covering, def.Columns...)
 		if err != nil {
 			return nil, err
 		}
 		sys.indexes[def.Name] = indexMeta{
-			name: def.Name, columns: def.Columns, covering: covering, meta: btree.MetaOf(ix.Tree),
+			name: def.Name, table: ti, columns: def.Columns, covering: covering, meta: btree.MetaOf(ix.Tree),
 		}
 	}
 	pool.FlushAll()
@@ -356,37 +339,20 @@ func SystemC(cfg Config) (*System, error) {
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Rows returns the table cardinality.
-func (s *System) Rows() int64 { return s.heapRows }
+// Rows returns the first (axis) table's cardinality — the one whose
+// size scales the sweep thresholds.
+func (s *System) Rows() int64 { return s.tables[0].rows }
 
 // openCatalog rewires the persistent disk objects to a fresh pool/clock.
 func (s *System) openCatalog(pool *storage.Pool, clock *simclock.Clock) *catalog.Catalog {
 	c := catalog.New()
-	byName := map[string]*catalog.Table{}
-	if len(s.tables) > 0 {
-		for _, tm := range s.tables {
-			heap := storage.OpenHeap(pool, tm.heapFile, tm.rows)
-			tbl := &catalog.Table{Name: tm.name, Schema: tm.schema, Heap: heap}
-			if s.versioned {
-				tbl.Versioned = mvcc.NewStore(heap)
-			}
-			c.AddTable(tbl)
-			byName[tm.name] = tbl
-		}
-	} else {
-		heap := storage.OpenHeap(pool, s.heapFile, s.heapRows)
-		tbl := &catalog.Table{Name: s.tableName, Schema: s.schema, Heap: heap}
-		if s.versioned {
-			tbl.Versioned = mvcc.NewStore(heap)
-		}
-		c.AddTable(tbl)
-		byName[s.tableName] = tbl
+	tables := make([]*catalog.Table, len(s.tables))
+	for i := range s.tables {
+		tables[i] = s.openTable(i, pool)
+		c.AddTable(tables[i])
 	}
 	for _, im := range s.indexes {
-		tbl := byName[s.tableName]
-		if im.table != "" {
-			tbl = byName[im.table]
-		}
+		tbl := tables[im.table]
 		ords := make([]int, len(im.columns))
 		for i, col := range im.columns {
 			ords[i] = tbl.Schema.MustOrdinal(col)
@@ -397,6 +363,17 @@ func (s *System) openCatalog(pool *storage.Pool, clock *simclock.Clock) *catalog
 		})
 	}
 	return c
+}
+
+// openTable rewires table i's heap to the given pool.
+func (s *System) openTable(i int, pool *storage.Pool) *catalog.Table {
+	tm := &s.tables[i]
+	heap := storage.OpenHeap(pool, tm.heapFile, tm.rows)
+	tbl := &catalog.Table{Name: tm.name, Schema: tm.schema, Heap: heap}
+	if s.versioned {
+		tbl.Versioned = mvcc.NewStore(heap)
+	}
+	return tbl
 }
 
 // Run executes one plan at one query point on a throwaway Session and
@@ -412,57 +389,51 @@ func (s *System) Run(p plan.Plan, q plan.Query) Result {
 // (e.g., the parallel-scan study) can attach their own per-worker pools.
 func (s *System) Disk() *storage.Disk { return s.disk }
 
-// ResultSize returns how many rows satisfy the query point (a < TA, and
-// b < TB when TB >= 0) — the exact value every correct plan's execution
-// returns as its row count. It consults the generated column data
-// directly, off the cost model's books: no clock advances and no pages
-// are touched. Adaptive sweeps use it to fill the Rows grid of cells
-// they skip, and as an extra cross-check at cells they measure.
+// ResultSize returns how many rows of the first table satisfy the query
+// point (a < TA, and b < TB when TB >= 0) — on the paper's one-table
+// catalog, the exact value every correct plan's execution returns as its
+// row count. It consults the generated column data directly, off the
+// cost model's books: no clock advances and no pages are touched.
+// Adaptive sweeps use it to fill the Rows grid of cells they skip, and
+// as an extra cross-check at cells they measure. Join result sizes
+// depend on the query's join tree and are computed from ColumnData by
+// whoever knows its semantics (internal/service).
 func (s *System) ResultSize(q plan.Query) int64 {
-	if len(s.tables) > 0 {
-		// A multi-table system has no single-table (a, b) oracle; join
-		// result sizes are computed from ColumnData by whoever knows the
-		// query semantics (internal/service).
-		panic("engine: ResultSize on a multi-table system")
-	}
+	// Both generated schemas lead with (id, a, b).
+	a, b := s.tables[0].colData[1], s.tables[0].colData[2]
 	var n int64
-	for _, ab := range s.abPairs {
-		if ab[0] < q.TA && (q.TB < 0 || ab[1] < q.TB) {
+	for i, v := range a {
+		if v < q.TA && (q.TB < 0 || b[i] < q.TB) {
 			n++
 		}
 	}
 	return n
 }
 
-// OpenTable rewires the system's base table to the given pool — the
+// OpenTable rewires the system's first table to the given pool — the
 // per-worker view of the parallel experiment. The clock used for index
 // access is the pool's own; this accessor exposes the heap only.
-func (s *System) OpenTable(pool *storage.Pool) *catalog.Table {
-	heap := storage.OpenHeap(pool, s.heapFile, s.heapRows)
-	tbl := &catalog.Table{Name: s.tableName, Schema: s.schema, Heap: heap}
-	if s.versioned {
-		tbl.Versioned = mvcc.NewStore(heap)
-	}
-	return tbl
-}
+func (s *System) OpenTable(pool *storage.Pool) *catalog.Table { return s.openTable(0, pool) }
 
-// Multi reports whether the system was built from a multi-table
-// catalog.
-func (s *System) Multi() bool { return len(s.tables) > 0 }
+// Multi reports whether the system was built from a catalog of more
+// than one table.
+func (s *System) Multi() bool { return len(s.tables) > 1 }
 
-// ColumnData returns one generated int64 column of a multi-table
-// system in insertion order (the id, a, b, and foreign-key columns are
-// retained at build time), or nil if the system is single-table or the
-// column unknown. Like ResultSize it is off the cost model's books.
+// ColumnData returns one generated int64 column in insertion order, or
+// nil if the table or column is unknown or the column is not int64.
+// Like ResultSize it is off the cost model's books.
 func (s *System) ColumnData(table, column string) []int64 {
-	if s.colData == nil {
-		return nil
+	for i := range s.tables {
+		if tm := &s.tables[i]; tm.name == table {
+			if o := tm.schema.Ordinal(column); o >= 0 {
+				return tm.colData[o]
+			}
+		}
 	}
-	return s.colData[table][column]
+	return nil
 }
 
-// TableRows returns a multi-table system's cardinality for one table,
-// or -1 if unknown.
+// TableRows returns one table's cardinality, or -1 if unknown.
 func (s *System) TableRows(table string) int64 {
 	for _, tm := range s.tables {
 		if tm.name == table {

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"robustmap/internal/datagen"
 	"robustmap/internal/plan"
 )
 
@@ -278,8 +280,9 @@ func TestHasIndexes(t *testing.T) {
 
 func TestSkewedBuildChangesSelectedRows(t *testing.T) {
 	cfg := testConfig()
-	cfg.ZipfA = 1.5
-	cfg.Indexes = []string{"a", "b"}
+	cfg.Tables = datagen.Catalog{{Name: plan.TableName, Rows: cfg.Rows, Seed: cfg.Seed, ZipfA: 1.5}}
+	cfg.IndexDefs, _ = Config{Indexes: []string{"a", "b"}}.indexDefs()
+	cfg.Indexes = nil
 	sys, err := BuildSystem("skewed", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -361,6 +364,60 @@ func TestResultSizeOracleMatchesExecution(t *testing.T) {
 			if got := sys.ResultSize(q); got != want {
 				t.Errorf("system %s ResultSize(%v) = %d, execution returns %d",
 					sys.Name, q, got, want)
+			}
+		}
+	}
+}
+
+// TestShorthandIsOneTableCatalog pins that the Rows/Seed/Indexes
+// shorthand is nothing but a one-table catalog: an explicit lineitem
+// catalog with the equivalent IndexDefs builds the same system — the
+// same retained columns, the same oracle, and the same measurement for
+// every study plan of systems A, B and C.
+func TestShorthandIsOneTableCatalog(t *testing.T) {
+	cfg := testConfig()
+	cfg.Rows = 1 << 12
+	n := cfg.Rows
+	queries := []plan.Query{{TA: n / 64, TB: n / 4}, {TA: n / 2, TB: n / 8}, {TA: n, TB: n}}
+	for _, build := range []func(Config) (*System, error){SystemA, SystemB, SystemC} {
+		short, err := build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explicit := short.Config()
+		explicit.IndexDefs, _ = explicit.indexDefs()
+		explicit.Indexes, explicit.Rows, explicit.Seed = nil, 0, 0
+		explicit.Tables = datagen.Catalog{{Name: plan.TableName, Rows: cfg.Rows, Seed: cfg.Seed}}
+		long, err := BuildSystem(short.Name, explicit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if short.Multi() || long.Multi() {
+			t.Errorf("system %s: a one-table catalog reports Multi()", short.Name)
+		}
+		if got := short.TableRows(plan.TableName); got != n {
+			t.Errorf("system %s: TableRows = %d, want %d", short.Name, got, n)
+		}
+		for _, col := range []string{"orderkey", "a", "b"} {
+			vals := short.ColumnData(plan.TableName, col)
+			if int64(len(vals)) != n || !reflect.DeepEqual(vals, long.ColumnData(plan.TableName, col)) {
+				t.Errorf("system %s: ColumnData(%s) differs or has %d values", short.Name, col, len(vals))
+			}
+		}
+		if short.ColumnData(plan.TableName, "price") != nil {
+			t.Errorf("system %s: a float column was retained", short.Name)
+		}
+		for _, q := range queries {
+			if a, b := short.ResultSize(q), long.ResultSize(q); a != b {
+				t.Errorf("system %s: ResultSize(%v) = %d vs %d", short.Name, q, a, b)
+			}
+			for _, p := range plan.AllPlans() {
+				if p.System != short.Name {
+					continue
+				}
+				if a, b := short.Run(p, q), long.Run(p, q); !reflect.DeepEqual(a, b) {
+					t.Errorf("plan %s at %v: shorthand %v/%d rows, catalog %v/%d rows", p.ID, q, a.Time, a.Rows, b.Time, b.Rows)
+				}
 			}
 		}
 	}

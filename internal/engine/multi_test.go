@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"robustmap/internal/datagen"
 	"robustmap/internal/iomodel"
 	"robustmap/internal/plan"
 	"robustmap/internal/spec"
@@ -13,9 +14,9 @@ func multiConfig() Config {
 		PoolPages:    64,
 		MemoryBudget: 16 << 20,
 		IO:           iomodel.DefaultParams(),
-		Tables: []TableConfig{
+		Tables: datagen.Catalog{
 			{Name: "orders", Rows: 1 << 10, Seed: 1},
-			{Name: "lineitem", Rows: 1 << 12, Seed: 2, ForeignKeys: []FKDef{
+			{Name: "lineitem", Rows: 1 << 12, Seed: 2, ForeignKeys: []datagen.ForeignKey{
 				{Column: "lineitem_ord", RefTable: "orders", Containment: 0.5},
 			}},
 		},
@@ -116,12 +117,7 @@ func TestMultiJoinPlansAgree(t *testing.T) {
 		PoolPages:    64,
 		MemoryBudget: 16 << 20,
 		IO:           iomodel.DefaultParams(),
-		Tables: []TableConfig{
-			{Name: "orders", Rows: 1 << 10, Seed: 1},
-			{Name: "lineitem", Rows: 1 << 12, Seed: 2, ForeignKeys: []FKDef{
-				{Column: "lineitem_ord", RefTable: "orders", Containment: 0.875},
-			}},
-		},
+		Tables:       datagen.FromSpec(&ws.Catalog, 0, 0),
 		IndexDefs: []IndexDef{
 			{Name: "pk_orders", Table: "orders", Columns: []string{"orders_id"}},
 		},

@@ -77,11 +77,10 @@ type Model struct {
 	PayloadBytes int
 	IO           iomodel.Params
 
-	// Tables carries per-table statistics for multi-table (join)
-	// queries; nil for the legacy single-table model. ColRows maps each
-	// derived column name to its owning table's cardinality — the
-	// denominator of that column's uniform selectivity (every generated
-	// int64 column draws from [0, rows)).
+	// Tables carries per-table statistics, keyed by table name. ColRows
+	// maps each generated column name to its owning table's cardinality
+	// — the denominator of that column's uniform selectivity (every
+	// generated int64 column draws from [0, rows)).
 	Tables  map[string]TableStats
 	ColRows map[string]int64
 
@@ -91,52 +90,40 @@ type Model struct {
 	Hists map[string]*Histogram
 }
 
-// TableStats is the model's per-table statistics for join queries.
+// TableStats is the model's per-table statistics.
 type TableStats struct {
 	Rows         int64
 	PayloadBytes int
 }
 
-// NewModel derives the model from the query's catalog at the given
-// cardinality, with the default device parameters — the same ones the
-// measurement engine charges unless a scenario overrides them. For a
-// multi-table catalog the per-table statistics come from the declared
-// cardinalities (join requests have no row override); rows is the axis
-// (primary) table's cardinality either way.
-func NewModel(q *spec.QuerySpec, rows int64) Model {
-	pb := datagen.DefaultPayloadBytes
-	if t := q.Catalog.Table(); t != nil && t.PayloadBytes > 0 {
-		pb = t.PayloadBytes
-	}
-	m := Model{Rows: rows, PayloadBytes: pb, IO: iomodel.DefaultParams()}
-	if q.Catalog.Multi() {
-		m.Tables = make(map[string]TableStats, len(q.Catalog.Tables))
-		m.ColRows = make(map[string]int64)
-		for i := range q.Catalog.Tables {
-			t := &q.Catalog.Tables[i]
-			tpb := datagen.DefaultPayloadBytes
-			if t.PayloadBytes > 0 {
-				tpb = t.PayloadBytes
-			}
-			m.Tables[t.Name] = TableStats{Rows: t.Rows, PayloadBytes: tpb}
-			for _, col := range t.MultiColumns() {
-				m.ColRows[col] = t.Rows
-			}
+// NewModel derives the model from the query's catalog, with the default
+// device parameters — the same ones the measurement engine charges
+// unless a scenario overrides them. rows, when > 0, is the axis (first)
+// table's cardinality and seed the base generation seed: the defaults
+// datagen.FromSpec applies exactly as the engine build does; the seed
+// only matters to the histograms.
+func NewModel(q *spec.QuerySpec, rows, seed int64) Model {
+	gen := datagen.FromSpec(&q.Catalog, rows, seed)
+	m := Model{IO: iomodel.DefaultParams(),
+		Tables:  make(map[string]TableStats, len(gen)),
+		ColRows: make(map[string]int64)}
+	for i, t := range gen {
+		pb := datagen.DefaultPayloadBytes
+		if t.PayloadBytes > 0 {
+			pb = t.PayloadBytes
+		}
+		if i == 0 {
+			m.Rows, m.PayloadBytes = t.Rows, pb
+		}
+		m.Tables[t.Name] = TableStats{Rows: t.Rows, PayloadBytes: pb}
+		for _, col := range gen.Schema(i).Columns() {
+			m.ColRows[col.Name] = t.Rows
 		}
 	}
 	if q.Histograms {
-		m.Hists = BuildHistograms(q, rows)
+		m.Hists = BuildHistograms(gen)
 	}
 	return m
-}
-
-// statsOf resolves one table's statistics; the legacy single-table
-// model answers for any name.
-func (m Model) statsOf(table string) TableStats {
-	if s, ok := m.Tables[table]; ok {
-		return s
-	}
-	return TableStats{Rows: m.Rows, PayloadBytes: m.PayloadBytes}
 }
 
 func pagesOf(rows int64, rowBytes int64) float64 {
@@ -148,7 +135,7 @@ func (m Model) heapPages() float64 {
 }
 
 func (m Model) heapPagesOf(table string) float64 {
-	s := m.statsOf(table)
+	s := m.Tables[table]
 	return pagesOf(s.Rows, int64(s.PayloadBytes)+rowHeaderBytes)
 }
 
@@ -157,7 +144,7 @@ func (m Model) leafPages(width int) float64 {
 }
 
 func (m Model) leafPagesOf(table string, width int) float64 {
-	return pagesOf(m.statsOf(table).Rows, leafEntryBytes(width))
+	return pagesOf(m.Tables[table].Rows, leafEntryBytes(width))
 }
 
 // pages→ns helpers in iomodel's units.
@@ -382,7 +369,7 @@ func (m Model) Estimate(c Candidate, ta, tb int64) time.Duration {
 		// then scales K by the edge multiplier and the step's predicate
 		// selectivities.
 		d0 := sh.jsteps[0]
-		s0 := m.statsOf(d0.table)
+		s0 := m.Tables[d0.table]
 		K := float64(s0.Rows) * m.predsSel(d0.preds, ta, tb)
 		if sh.driveIndexed {
 			dr := sh.driving[0]
@@ -398,7 +385,7 @@ func (m Model) Estimate(c Candidate, ta, tb int64) time.Duration {
 			cpu = float64(s0.Rows) * (float64(exec.CostRowDecode) + m.residualCPU(d0.preds, ta, tb))
 		}
 		for _, st := range sh.jsteps[1:] {
-			s := m.statsOf(st.table)
+			s := m.Tables[st.table]
 			R := float64(s.Rows)
 			selT := m.predsSel(st.preds, ta, tb)
 			matched := K * st.matchFrac

@@ -14,7 +14,6 @@ import (
 
 	"robustmap/internal/datagen"
 	"robustmap/internal/record"
-	"robustmap/internal/spec"
 )
 
 // HistogramBuckets is the equi-depth bucket count. 64 buckets resolve
@@ -74,60 +73,36 @@ func (h *Histogram) LessThan(v int64) float64 {
 	return frac / float64(len(h.bounds))
 }
 
-// BuildHistograms generates the query's tables through the same
+// BuildHistograms generates the catalog's tables through the same
 // deterministic generator the engine loads from and builds one
-// histogram per int64 column. rows is the single-table cardinality
-// (requests may override it); multi-table catalogs use each table's
-// declared rows, exactly like the engine build. Both the local
-// resolver and the fabric coordinator call this with identical inputs,
-// so their models — and therefore their picks and regret grids — stay
-// byte-identical.
-func BuildHistograms(q *spec.QuerySpec, rows int64) map[string]*Histogram {
+// histogram per int64 column, keyed by column name. Callers derive the
+// catalog with datagen.FromSpec from the same rows and seed the
+// measured systems are built with, so the histograms summarize exactly
+// the measured data; the local resolver and the fabric coordinator pass
+// identical inputs, so their models — and therefore their picks and
+// regret grids — stay byte-identical.
+func BuildHistograms(gen datagen.Catalog) map[string]*Histogram {
 	out := map[string]*Histogram{}
-	collect := func(gen func(fn func(row []record.Value) error) error, names []string) {
-		cols := make([][]int64, len(names))
-		_ = gen(func(row []record.Value) error {
-			for i := range names {
-				cols[i] = append(cols[i], row[i].AsInt())
+	for i := range gen {
+		schema := gen.Schema(i)
+		var ints []int
+		for o := 0; o < schema.NumColumns(); o++ {
+			if schema.Column(o).Type == record.TypeInt64 {
+				ints = append(ints, o)
+			}
+		}
+		cols := make([][]int64, len(ints))
+		// The callback never fails; a catalog that cannot generate leaves
+		// its columns without histograms, so estimates stay uniform.
+		_ = gen.Generate(i, func(row []record.Value) error {
+			for k, o := range ints {
+				cols[k] = append(cols[k], row[o].AsInt())
 			}
 			return nil
 		})
-		for i, name := range names {
-			out[name] = NewHistogram(cols[i], HistogramBuckets)
+		for k, o := range ints {
+			out[schema.Column(o).Name] = NewHistogram(cols[k], HistogramBuckets)
 		}
 	}
-	if q.Catalog.Multi() {
-		for i := range q.Catalog.Tables {
-			t := &q.Catalog.Tables[i]
-			fks := make([]datagen.FKSpec, len(t.ForeignKeys))
-			for j, fk := range t.ForeignKeys {
-				parent := q.Catalog.TableByName(fk.RefTable)
-				fks[j] = datagen.FKSpec{Column: fk.Column, ParentRows: parent.Rows,
-					Containment: fk.Containment, FanoutZipf: fk.FanoutZipf}
-			}
-			ds := datagen.Spec{Rows: t.Rows, Seed: t.Seed, PayloadBytes: t.PayloadBytes,
-				ZipfA: t.ZipfA, ZipfB: t.ZipfB}
-			names := t.MultiColumns()
-			collect(func(fn func(row []record.Value) error) error {
-				return datagen.GenerateTable(ds, fks, fn)
-			}, names[:len(names)-1]) // all but the string comment
-		}
-		return out
-	}
-	t := q.Catalog.Table()
-	ds := datagen.Spec{Rows: rows, Seed: 2009}
-	if t != nil {
-		if t.Seed != 0 {
-			ds.Seed = t.Seed
-		}
-		ds.PayloadBytes, ds.ZipfA, ds.ZipfB = t.PayloadBytes, t.ZipfA, t.ZipfB
-	}
-	// The fixed single-table schema leads with (orderkey, a, b); a and
-	// b are the predicate columns. The default seed mirrors
-	// engine.DefaultConfig so the histogram summarizes the same data a
-	// seed-less workload is measured on.
-	collect(func(fn func(row []record.Value) error) error {
-		return datagen.Generate(ds, fn)
-	}, []string{"orderkey", "a", "b"})
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"robustmap/internal/datagen"
 	"robustmap/internal/engine"
 	"robustmap/internal/iomodel"
 	"robustmap/internal/optimizer"
@@ -48,12 +49,7 @@ func joinEngineConfig(zipfA float64, ordRows int64) engine.Config {
 		PoolPages:    64,
 		MemoryBudget: 16 << 20,
 		IO:           iomodel.DefaultParams(),
-		Tables: []engine.TableConfig{
-			{Name: "orders", Rows: ordRows, Seed: 8, ZipfA: zipfA, ForeignKeys: []engine.FKDef{
-				{Column: "ord_cust", RefTable: "customer", Containment: 0.9},
-			}},
-			{Name: "customer", Rows: 1 << 9, Seed: 7},
-		},
+		Tables:       datagen.FromSpec(&joinQuery(zipfA, ordRows).Catalog, 0, 0),
 		IndexDefs: []engine.IndexDef{
 			{Name: "pk_customer", Table: "customer", Columns: []string{"customer_id"}},
 			{Name: "idx_orders_a", Table: "orders", Columns: []string{"orders_a"}},
@@ -138,7 +134,7 @@ func TestJoinCandidatesAgreeOnEngine(t *testing.T) {
 		return n
 	}
 
-	model := optimizer.NewModel(q, 1<<12)
+	model := optimizer.NewModel(q, 1<<12, engine.DefaultConfig().Seed)
 	for _, ta := range []int64{1 << 8, 1 << 12} {
 		want := oracle(ta)
 		for i, p := range cw.Plans() {
@@ -163,7 +159,7 @@ func TestHistogramLessThan(t *testing.T) {
 	vals := sys.ColumnData("orders", "orders_a")
 	q := joinQuery(1.3, 1<<12)
 	q.Histograms = true
-	m := optimizer.NewModel(q, 1<<12)
+	m := optimizer.NewModel(q, 1<<12, engine.DefaultConfig().Seed)
 
 	for _, v := range []int64{4, 64, 1 << 10} {
 		var n int
@@ -218,8 +214,8 @@ func TestHistogramRegretOnZipfJoin(t *testing.T) {
 
 	qh := joinQuery(zipf, ordRows)
 	qh.Histograms = true
-	uniform := optimizer.NewModel(q, ordRows)
-	hist := optimizer.NewModel(qh, ordRows)
+	uniform := optimizer.NewModel(q, ordRows, engine.DefaultConfig().Seed)
+	hist := optimizer.NewModel(qh, ordRows, engine.DefaultConfig().Seed)
 
 	plans := cw.Plans()
 	thresholds := []int64{1 << 2, 1 << 4, 1 << 8, 1 << 12, ordRows}

@@ -176,7 +176,6 @@ func TestEnumeratedPlansMeasureIdentically(t *testing.T) {
 
 	cfg := engine.DefaultConfig()
 	cfg.Rows = 1 << 12
-	cfg.TableName = "lineitem"
 	cfg.Indexes = nil
 	for _, name := range ws.Systems[0].Indexes {
 		def := ws.Catalog.Index(name)
@@ -215,7 +214,7 @@ func TestPickDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := optimizer.NewModel(q, 1<<16)
+	m := optimizer.NewModel(q, 1<<16, engine.DefaultConfig().Seed)
 	ta := []int64{1, 16, 256, 4096, 65536}
 	p1 := m.Picks2D(cands, ta, ta)
 	p2 := m.Picks2D(cands, ta, ta)
@@ -241,7 +240,7 @@ func TestExplainMarksPick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := optimizer.NewModel(q, 1<<16)
+	m := optimizer.NewModel(q, 1<<16, engine.DefaultConfig().Seed)
 
 	est := m.Explain(cands, 1024, -1) // 1-D point: tb-driven plans ineligible
 	picked := 0

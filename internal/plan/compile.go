@@ -200,8 +200,7 @@ func typeName(t record.Type) string {
 }
 
 // modelFor resolves a CatalogSpec against the data generator's
-// schemas: the fixed lineitem-like relation for single-table catalogs,
-// one derived join schema per table for multi-table ones.
+// schemas (see datagen.Catalog.Schema).
 func modelFor(c *spec.CatalogSpec) (*catalogModel, error) {
 	t := c.Table()
 	if t == nil {
@@ -210,25 +209,13 @@ func modelFor(c *spec.CatalogSpec) (*catalogModel, error) {
 	m := &catalogModel{first: t.Name,
 		tables:  make(map[string]*record.Schema),
 		indexes: make(map[string]*spec.IndexSpec)}
-	if c.Multi() {
-		for i := range c.Tables {
-			tt := &c.Tables[i]
-			fkCols := make([]string, len(tt.ForeignKeys))
-			for j := range tt.ForeignKeys {
-				fkCols[j] = tt.ForeignKeys[j].Column
-			}
-			schema := datagen.JoinSchema(tt.Name, fkCols)
-			if err := declaredMatches(tt, schema); err != nil {
-				return nil, err
-			}
-			m.tables[tt.Name] = schema
-		}
-	} else {
-		schema := datagen.Schema()
-		if err := declaredMatches(t, schema); err != nil {
+	gen := datagen.FromSpec(c, 0, 0)
+	for i := range c.Tables {
+		schema := gen.Schema(i)
+		if err := declaredMatches(&c.Tables[i], schema); err != nil {
 			return nil, err
 		}
-		m.tables[t.Name] = schema
+		m.tables[c.Tables[i].Name] = schema
 	}
 	for i := range c.Indexes {
 		ix := &c.Indexes[i]

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"robustmap/internal/datagen"
 	"robustmap/internal/engine"
 	"robustmap/internal/plan"
 	"robustmap/internal/spec"
@@ -342,7 +343,7 @@ func buildWorkloadSystem(t *testing.T, ws *spec.WorkloadSpec) *engine.System {
 		cfg.Rows = ws.Catalog.Tables[0].Rows
 	}
 	cfg.Versioned = sysSpec.Versioned
-	cfg.TableName = ws.Catalog.Tables[0].Name
+	cfg.Tables = datagen.FromSpec(&ws.Catalog, cfg.Rows, cfg.Seed)
 	cfg.Indexes = nil
 	for _, name := range sysSpec.Indexes {
 		def := ws.Catalog.Index(name)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -283,5 +284,38 @@ func TestJoinResultSizeOracle(t *testing.T) {
 	}
 	if res.Mesh1D == nil {
 		t.Fatal("adaptive join query job must produce Mesh1D")
+	}
+}
+
+// TestQueryHistogramsUseBaseSeed pins that a single-table query's
+// histograms summarize the data its cells are measured on: under a
+// non-default base seed, the resolver's model holds exactly the
+// histograms of the built system's generated columns.
+func TestQueryHistogramsUseBaseSeed(t *testing.T) {
+	cfg := engine.DefaultConfig()
+	cfg.Seed = 7
+	r := NewEngineResolver(cfg)
+	q := smallPaperQuery(3)
+	q.Histograms = true
+	q.Catalog.Tables[0].ZipfA = 1.5
+	q.Catalog.Tables[0].ZipfB = 1.3
+	const rows = 1 << 12
+	_, qp, err := r.planQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := r.workloadSystem(qp.ws, qp.ws.Hash(), &qp.ws.Systems[0], rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hists := r.model(q, rows).Hists
+	for _, col := range []string{"orderkey", "a", "b"} {
+		vals := sys.ColumnData(q.Table, col)
+		if len(vals) != rows {
+			t.Fatalf("ColumnData(%s, %s) has %d values, want %d", q.Table, col, len(vals), rows)
+		}
+		if want := optimizer.NewHistogram(vals, optimizer.HistogramBuckets); !reflect.DeepEqual(hists[col], want) {
+			t.Errorf("histogram of %s does not summarize the measured column", col)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"robustmap/internal/core"
+	"robustmap/internal/datagen"
 	"robustmap/internal/engine"
 	"robustmap/internal/optimizer"
 	"robustmap/internal/plan"
@@ -300,51 +301,15 @@ func (r *EngineResolver) workloadSystem(ws *spec.WorkloadSpec, hash string,
 	sys *spec.SystemSpec, rows int64) (*engine.System, error) {
 
 	return r.system(sysKey{name: "w/" + hash + "/" + sys.Name, rows: rows}, func() (*engine.System, error) {
-		if ws.Catalog.Multi() {
-			// Multi-table catalogs carry every cardinality themselves
-			// (Request.Rows overrides are rejected at Validate); the build
-			// maps the declared tables, FK edges, and the system's index
-			// selection straight onto the engine's multi-table config.
-			cfg := r.base
-			cfg.Rows, cfg.TableName, cfg.Indexes, cfg.IndexDefs = 0, "", nil, nil
-			cfg.Versioned = sys.Versioned
-			for i := range ws.Catalog.Tables {
-				t := &ws.Catalog.Tables[i]
-				tc := engine.TableConfig{Name: t.Name, Rows: t.Rows, Seed: t.Seed,
-					PayloadBytes: t.PayloadBytes, ZipfA: t.ZipfA, ZipfB: t.ZipfB}
-				for _, fk := range t.ForeignKeys {
-					tc.ForeignKeys = append(tc.ForeignKeys, engine.FKDef{
-						Column: fk.Column, RefTable: fk.RefTable,
-						Containment: fk.Containment, FanoutZipf: fk.FanoutZipf})
-				}
-				cfg.Tables = append(cfg.Tables, tc)
-			}
-			for _, name := range sys.Indexes {
-				def := ws.Catalog.Index(name)
-				cfg.IndexDefs = append(cfg.IndexDefs,
-					engine.IndexDef{Name: def.Name, Table: def.Table, Columns: def.Columns})
-			}
-			return engine.BuildSystem(sys.Name, cfg)
-		}
-		t := ws.Catalog.Table()
 		cfg := r.base
-		cfg.Rows = rows
 		cfg.Versioned = sys.Versioned
-		cfg.TableName = t.Name
-		cfg.ZipfA, cfg.ZipfB = t.ZipfA, t.ZipfB
-		if t.Seed != 0 {
-			cfg.Seed = t.Seed
-		}
-		if t.PayloadBytes != 0 {
-			cfg.PayloadBytes = t.PayloadBytes
-		}
-		cfg.IndexDefs = nil
+		cfg.Tables = datagen.FromSpec(&ws.Catalog, rows, r.base.Seed)
+		cfg.Indexes, cfg.IndexDefs = nil, nil
 		for _, name := range sys.Indexes {
 			def := ws.Catalog.Index(name)
 			cfg.IndexDefs = append(cfg.IndexDefs,
-				engine.IndexDef{Name: def.Name, Columns: def.Columns})
+				engine.IndexDef{Name: def.Name, Table: def.Table, Columns: def.Columns})
 		}
-		cfg.Indexes = nil
 		return engine.BuildSystem(sys.Name, cfg)
 	})
 }
@@ -483,30 +448,42 @@ func (r *EngineResolver) Resolve(req Request) (*ResolvedSweep, error) {
 		rs.ResultSize = joinResultSize(oracle, req.Query)
 	}
 	if q := req.Query; q != nil {
-		model := optimizer.NewModel(q, rows)
-		rs.Finish = func(res *Result) error {
-			for _, c := range cands {
-				res.Candidates = append(res.Candidates, CandidateInfo{
-					ID:          c.Plan.ID,
-					Description: c.Plan.Description,
-					RequiresTB:  c.Plan.RequiresTB || c.Plan.NeedsTB(),
-				})
-			}
-			// Picks come from the estimated cost model alone (pure
-			// computation), regret from the measured map — both
-			// independent of how the sweep was parallelized.
-			switch {
-			case res.Map2D != nil:
-				picks := model.Picks2D(cands, res.Map2D.TA, res.Map2D.TB)
-				res.Regret2D = core.NewRegretMap2D(res.Map2D, picks, core.DefaultRegretThreshold)
-			case res.Map1D != nil:
-				picks := model.Picks1D(cands, res.Map1D.Thresholds)
-				res.Regret1D = core.NewRegretMap1D(res.Map1D, picks, core.DefaultRegretThreshold)
-			}
-			return nil
-		}
+		rs.Finish = queryFinish(cands, r.model(q, rows))
 	}
 	return rs, nil
+}
+
+// model returns a query's cost model over the data this resolver
+// measures it on: the same rows and base seed the systems are built
+// with, so histograms summarize the measured data.
+func (r *EngineResolver) model(q *spec.QuerySpec, rows int64) optimizer.Model {
+	return optimizer.NewModel(q, rows, r.base.Seed)
+}
+
+// queryFinish returns the overlay a query request adds to its measured
+// maps: the candidate list, the model's per-cell picks and the regret
+// grids. Picks come from the estimated cost model alone (pure
+// computation), regret from the measured map — both independent of how
+// the sweep was parallelized or sharded.
+func queryFinish(cands []optimizer.Candidate, model optimizer.Model) func(res *Result) error {
+	return func(res *Result) error {
+		for _, c := range cands {
+			res.Candidates = append(res.Candidates, CandidateInfo{
+				ID:          c.Plan.ID,
+				Description: c.Plan.Description,
+				RequiresTB:  c.Plan.RequiresTB || c.Plan.NeedsTB(),
+			})
+		}
+		switch {
+		case res.Map2D != nil:
+			picks := model.Picks2D(cands, res.Map2D.TA, res.Map2D.TB)
+			res.Regret2D = core.NewRegretMap2D(res.Map2D, picks, core.DefaultRegretThreshold)
+		case res.Map1D != nil:
+			picks := model.Picks1D(cands, res.Map1D.Thresholds)
+			res.Regret1D = core.NewRegretMap1D(res.Map1D, picks, core.DefaultRegretThreshold)
+		}
+		return nil
+	}
 }
 
 // joinResultSize builds an exact result-size oracle for a join query

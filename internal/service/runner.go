@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"robustmap/internal/core"
+	"robustmap/internal/engine"
 	"robustmap/internal/optimizer"
 )
 
@@ -124,24 +125,8 @@ func SynthesizeQuery(req Request, defaultRows int64) (Request, func(*Result) err
 	lowered.Query = nil
 	lowered.Workload = ws
 	rows := req.EffectiveRows(defaultRows)
-	model := optimizer.NewModel(req.Query, rows)
-	finish := func(res *Result) error {
-		for _, c := range cands {
-			res.Candidates = append(res.Candidates, CandidateInfo{
-				ID:          c.Plan.ID,
-				Description: c.Plan.Description,
-				RequiresTB:  c.Plan.RequiresTB || c.Plan.NeedsTB(),
-			})
-		}
-		switch {
-		case res.Map2D != nil:
-			picks := model.Picks2D(cands, res.Map2D.TA, res.Map2D.TB)
-			res.Regret2D = core.NewRegretMap2D(res.Map2D, picks, core.DefaultRegretThreshold)
-		case res.Map1D != nil:
-			picks := model.Picks1D(cands, res.Map1D.Thresholds)
-			res.Regret1D = core.NewRegretMap1D(res.Map1D, picks, core.DefaultRegretThreshold)
-		}
-		return nil
-	}
+	// The caller has no engine config, so the model's histograms assume
+	// the engine's default seed.
+	finish := queryFinish(cands, optimizer.NewModel(req.Query, rows, engine.DefaultConfig().Seed))
 	return lowered, finish, nil
 }

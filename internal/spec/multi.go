@@ -4,8 +4,9 @@ import "fmt"
 
 // Multi-table catalogs.
 //
-// A catalog with two or more tables switches the generator from the
-// paper's fixed lineitem-like relation to one derived schema per table:
+// Every catalog is a list of tables; a single table is a one-table
+// catalog holding the paper's lineitem-like relation. With two or more
+// tables, each gets one derived schema (generated by datagen.Catalog):
 //
 //	<table>_id      int64   // 0..rows-1 in insertion order; join target
 //	<table>_a       int64   // predicate column, permutation or Zipf
@@ -45,8 +46,8 @@ type ForeignKeySpec struct {
 }
 
 // Multi reports whether the catalog is multi-table: two or more
-// declared tables. Single-table catalogs keep the paper's fixed
-// generated schema and legacy column names.
+// declared tables, each with the derived schema above. A one-table
+// catalog holds the paper's lineitem-like relation instead.
 func (c *CatalogSpec) Multi() bool { return len(c.Tables) > 1 }
 
 // TableByName returns the named table, or nil.

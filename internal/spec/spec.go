@@ -55,10 +55,11 @@ type WorkloadSpec struct {
 }
 
 // CatalogSpec declares the dataset: one or more generated tables and
-// the index definitions systems may build over them. A single-table
-// catalog generates the paper's fixed lineitem-like relation; a
-// multi-table catalog generates one derived schema per table with
-// foreign-key columns correlating them (see multi.go).
+// the index definitions systems may build over them. A single table is
+// a one-table catalog, which generates the paper's lineitem-like
+// relation; two or more tables generate one derived schema per table
+// with foreign-key columns correlating them (see multi.go). The
+// generator's input is derived from it by datagen.FromSpec.
 type CatalogSpec struct {
 	Tables []TableSpec `json:"tables"`
 	// Indexes defines secondary indexes by name; systems select which of
@@ -94,7 +95,9 @@ type TableSpec struct {
 	// Rows is the default cardinality; 0 defers to the sweeping
 	// service's engine default. A service.Request may override it.
 	Rows int64 `json:"rows,omitempty"`
-	// Seed drives data generation; 0 defers to the engine default.
+	// Seed drives data generation. In a one-table catalog 0 defers to
+	// the engine default; the tables of a multi-table catalog use their
+	// declared seed as given, 0 included.
 	Seed int64 `json:"seed,omitempty"`
 	// PayloadBytes pads rows; 0 defers to the generator default.
 	PayloadBytes int `json:"payload_bytes,omitempty"`

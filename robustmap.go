@@ -636,7 +636,11 @@ func EnumerateQueryPlans(q *QuerySpec) ([]PlanCandidate, error) { return optimiz
 
 // NewCostModel builds the cost model for a query over the given table
 // cardinality (rows <= 0 uses the query catalog's row count).
-func NewCostModel(q *QuerySpec, rows int64) CostModel { return optimizer.NewModel(q, rows) }
+// Histograms, when the query asks for them, summarize the data of the
+// engine's default seed.
+func NewCostModel(q *QuerySpec, rows int64) CostModel {
+	return optimizer.NewModel(q, rows, engine.DefaultConfig().Seed)
+}
 
 // ExplainQuery costs every candidate at one point (ta, tb; tb < 0 for
 // single-predicate queries) and marks the pick — what `robustmap
